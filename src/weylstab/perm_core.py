@@ -63,7 +63,7 @@ def check_word(w: Sequence[int], n: int) -> Word:
     if not word:
         raise ValueError("a word needs at least one letter")
     for letter in word:
-        if not isinstance(letter, int) or not 1 <= letter <= n:
+        if not isinstance(letter, int) or isinstance(letter, bool) or not 1 <= letter <= n:
             raise ValueError(f"letter {letter!r} is outside 1..{n}")
     return word
 
@@ -352,30 +352,6 @@ class TuplePerm:
                 for beta, image_b in theirs.items():
                     moved[alpha + beta] = alpha + image_b
         return TuplePerm(n, s + r, moved, validate=False)
-
-    def embed(
-        self,
-        pad_left: int,
-        pad_right: int,
-        budget: int | None = DEFAULT_SUPPORT_BUDGET,
-    ) -> "TuplePerm":
-        """Identity-padded copy acting on letters pad_left+1 .. pad_left+arity."""
-        if pad_left < 0 or pad_right < 0:
-            raise ValueError("padding must be non-negative")
-        if pad_left == 0 and pad_right == 0:
-            return self
-        n = self.n
-        estimate = len(self.moved) * n ** (pad_left + pad_right)
-        if budget is not None and estimate > budget:
-            raise BudgetExceededError(estimate, budget)
-        moved: dict[Word, Word] = {}
-        for w, image in self.moved.items():
-            for prefix in all_words(n, pad_left):
-                head = prefix + w
-                head_image = prefix + image
-                for suffix in all_words(n, pad_right):
-                    moved[head + suffix] = head_image + suffix
-        return TuplePerm(n, self.arity + pad_left + pad_right, moved, validate=False)
 
     def tail_identity_split(self, j: int) -> "TuplePerm | None":
         """Strip ``j`` trailing identity letters, or report that none exist.

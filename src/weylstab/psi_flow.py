@@ -8,28 +8,33 @@ k direct copies sliding right again, stopping one short of where the inverse
 sweep started.  Level 1, for instance, applies (1 (x) u^-1), then (u^-1 (x) 1),
 then (1 (x) u).
 
+Dropping the outermost pair of factors leaves level k - 1 padded by one
+identity letter: with g = 1^k (x) u, psi_k = g^-1 . (psi_{k-1} (x) 1) . g.
+So level k is a conjugate of the padded level below, and its support has
+exactly |support(u)| * n**k words.
+
 Two evaluation strategies are provided.  ``psi_apply`` pushes a single word
 through the factor list in O(k * t) window lookups without building anything.
-``psi_materialize`` produces the product as a sparse ``TuplePerm``; its
-support can reach (k+1) * |support(u)| * n**k entries, so the estimate is
-checked against a budget before any storage happens.
+``psi_levels`` builds the levels in turn by the recursion, as sparse
+``TuplePerm`` values, checking each exact support size against a budget
+before storing it; ``psi_materialize`` returns one of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import count, islice
+from typing import Iterator, Sequence
 
 from .perm_core import (
     DEFAULT_SUPPORT_BUDGET,
     BudgetExceededError,
     TuplePerm,
     Word,
-    all_words,
     check_word,
 )
 
-__all__ = ["PsiFactor", "PsiFactorization", "psi_factors", "psi_apply", "psi_materialize"]
+__all__ = ["PsiFactor", "psi_factors", "psi_apply", "psi_levels", "psi_materialize"]
 
 
 @dataclass(frozen=True)
@@ -41,39 +46,21 @@ class PsiFactor:
     pad_right: int
 
 
-@dataclass(frozen=True)
-class PsiFactorization:
-    """The full factor list for one level, in application order."""
-
-    base: TuplePerm
-    k: int
-    factors: tuple[PsiFactor, ...]
-
-
-def psi_factors(u: TuplePerm, k: int) -> PsiFactorization:
+def psi_factors(u: TuplePerm, k: int) -> tuple[PsiFactor, ...]:
     """Factor list for level ``k``, leftmost factor applied first.
 
     >>> from .perm_core import TuplePerm
     >>> u = TuplePerm.transposition(2, (1, 1, 1), (2, 2, 2))
-    >>> [(f.pad_left, f.use_inverse, f.pad_right) for f in psi_factors(u, 1).factors]
+    >>> [(f.pad_left, f.use_inverse, f.pad_right) for f in psi_factors(u, 1)]
     [(1, True, 0), (0, True, 1), (1, False, 0)]
     """
     if k < 0:
         raise ValueError("level must be non-negative")
     if k == 0:
-        factors = (PsiFactor(0, True, 0),)
-    else:
-        inverse_sweep = tuple(PsiFactor(k - i, True, i) for i in range(k + 1))
-        direct_sweep = tuple(PsiFactor(i, False, k - i) for i in range(1, k + 1))
-        factors = inverse_sweep + direct_sweep
-    return PsiFactorization(u, k, factors)
-
-
-def _window_tables(u: TuplePerm, factors: Sequence[PsiFactor]):
-    """Per-factor (offset, window map) pairs shared by both evaluators."""
-    forward = dict(u.moved)
-    backward = {image: w for w, image in forward.items()}
-    return [(f.pad_left, backward if f.use_inverse else forward) for f in factors]
+        return (PsiFactor(0, True, 0),)
+    inverse_sweep = tuple(PsiFactor(k - i, True, i) for i in range(k + 1))
+    direct_sweep = tuple(PsiFactor(i, False, k - i) for i in range(1, k + 1))
+    return inverse_sweep + direct_sweep
 
 
 def psi_apply(u: TuplePerm, k: int, w: Sequence[int]) -> Word:
@@ -81,46 +68,59 @@ def psi_apply(u: TuplePerm, k: int, w: Sequence[int]) -> Word:
     word = check_word(w, u.n)
     if len(word) != u.arity + k:
         raise ValueError(f"level {k} of an arity-{u.arity} base acts on arity-{u.arity + k} words")
-    tables = _window_tables(u, psi_factors(u, k).factors)
+    forward = dict(u.moved)  # a plain dict looks up faster than the read-only view
+    backward = {image: v for v, image in forward.items()}
     t = u.arity
-    for offset, table in tables:
+    for f in psi_factors(u, k):
+        offset = f.pad_left
         window = word[offset : offset + t]
-        image = table.get(window)
+        image = (backward if f.use_inverse else forward).get(window)
         if image is not None:
             word = word[:offset] + image + word[offset + t :]
     return word
 
 
+def _check_budget(u: TuplePerm, k: int, budget: int | None) -> None:
+    estimate = len(u.moved) * u.n**k
+    if budget is not None and estimate > budget:
+        raise BudgetExceededError(estimate, budget)
+
+
+def psi_levels(
+    u: TuplePerm, budget: int | None = DEFAULT_SUPPORT_BUDGET
+) -> Iterator[TuplePerm]:
+    """Yield levels 0, 1, 2, ... of the flow, raising at the first over ``budget``.
+
+    Each moved point y of psi_{k-1} (x) 1 gives the moved point g(y) of level
+    k with image g(psi_{k-1}(y)), where g applies u to the last t letters.
+    """
+    n, t = u.n, u.arity
+    forward = dict(u.moved)  # a plain dict looks up faster than the read-only view
+    letters = [(c,) for c in range(1, n + 1)]
+    _check_budget(u, 0, budget)
+    level = u.inverse()
+    for k in count(1):
+        yield level
+        _check_budget(u, k, budget)
+        moved: dict[Word, Word] = {}
+        for w, image in level.moved.items():
+            head, tail = w[:k], w[k:]
+            image_head, image_tail = image[:k], image[k:]
+            for c in letters:
+                x, y = tail + c, image_tail + c
+                moved[head + forward.get(x, x)] = image_head + forward.get(y, y)
+        level = TuplePerm(n, t + k, moved, validate=False)
+
+
 def psi_materialize(
     u: TuplePerm, k: int, budget: int | None = DEFAULT_SUPPORT_BUDGET
 ) -> TuplePerm:
-    """Level ``k`` as a sparse permutation.
+    """Level ``k`` as a sparse permutation, taken from :func:`psi_levels`.
 
-    Every moved point of the product carries a support word of ``u`` in some
-    window, so the candidate set is the union over window offsets of
-    prefix + support word + suffix.  Each candidate is pushed through the
-    factor list; fixed points are discarded.
+    Raises before building anything when level ``k`` alone exceeds
+    ``budget``; the levels below it are no larger, so none of them can.
     """
-    t, n = u.arity, u.n
-    factors = psi_factors(u, k).factors
-    offsets = sorted({f.pad_left for f in factors})
-    estimate = len(offsets) * len(u.moved) * n**k
-    if budget is not None and estimate > budget:
-        raise BudgetExceededError(estimate, budget)
-    tables = _window_tables(u, factors)
-    moved: dict[Word, Word] = {}
-    for j in offsets:
-        for s in u.moved:
-            for prefix in all_words(n, j):
-                head = prefix + s
-                for suffix in all_words(n, k - j):
-                    w = head + suffix
-                    x = w
-                    for offset, table in tables:
-                        window = x[offset : offset + t]
-                        image = table.get(window)
-                        if image is not None:
-                            x = x[:offset] + image + x[offset + t :]
-                    if x != w:
-                        moved[w] = x
-    return TuplePerm(n, t + k, moved, validate=False)
+    if k < 0:
+        raise ValueError("level must be non-negative")
+    _check_budget(u, k, budget)
+    return next(islice(psi_levels(u, budget), k, None))

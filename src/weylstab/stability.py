@@ -14,9 +14,11 @@ proof of instability.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
+from typing import Iterator
 
 from .perm_core import DEFAULT_SUPPORT_BUDGET, TuplePerm
-from .psi_flow import psi_materialize
+from .psi_flow import psi_levels
 
 __all__ = [
     "DEFAULT_H_MAX",
@@ -73,13 +75,13 @@ def rank_one_check(u: TuplePerm, budget: int | None = DEFAULT_SUPPORT_BUDGET) ->
     """
     if u.arity != 3:
         raise ValueError("the rank-1 equations are stated for arity-3 permutations")
-    one = TuplePerm.identity(u.n, 1)
-    level0 = psi_materialize(u, 0, budget)
-    level1 = psi_materialize(u, 1, budget)
-    if level1 != level0.tensor(one, budget):
-        return False
-    level2 = psi_materialize(u, 2, budget)
-    return level2 == level1.tensor(one, budget)
+    levels = psi_levels(u, budget)
+    lower = next(levels)
+    for level in islice(levels, 2):
+        if level.tail_identity_split(1) != lower:
+            return False
+        lower = level
+    return True
 
 
 def stability_search(
@@ -100,8 +102,7 @@ def stability_search(
         return StabilityVerdict(
             True, "t1-trivial", certificate_h=0, rank_upper=1, rank_exact=1
         )
-    for h in range(h_max + 1):
-        level = psi_materialize(u, h, budget)
+    for h, level in enumerate(islice(psi_levels(u, budget), h_max + 1)):
         if level.tail_identity_split(t - 1) is not None:
             return StabilityVerdict(
                 True, "tail-criterion", certificate_h=h, rank_upper=h + 1
@@ -124,13 +125,20 @@ def definitional_prefix_check(
         raise ValueError("rank candidates start at 1")
     if l_max < 0:
         raise ValueError("l_max must be non-negative")
-    base = psi_materialize(u, k - 1, budget)
-    for l in range(l_max + 1):
-        lhs = psi_materialize(u, k + l, budget)
-        rhs = base.tensor(TuplePerm.identity(u.n, l + 1), budget)
-        if lhs != rhs:
-            return False
-    return True
+    return _prefix_holds(psi_levels(u, budget), k, l_max)
+
+
+def _prefix_holds(levels: Iterator[TuplePerm], k: int, l_max: int) -> bool:
+    """The windowed rank-k equations, drawing levels 0, 1, ... until one fails.
+
+    X = Y (x) identity**j is tested as ``X.tail_identity_split(j) == Y``: a
+    successful split is unique, so the two forms agree.
+    """
+    base = next(islice(levels, k - 1, None))
+    return all(
+        level.tail_identity_split(j) == base
+        for j, level in enumerate(islice(levels, l_max + 1), 1)
+    )
 
 
 def exact_rank_for_stable(
@@ -147,8 +155,10 @@ def exact_rank_for_stable(
     """
     if not verdict.stable or verdict.certificate_h is None or verdict.rank_upper is None:
         raise ValueError("exact rank needs a certified stable verdict")
+    top = verdict.certificate_h + u.arity
+    levels = list(islice(psi_levels(u, budget), top + 1))
     for k in range(1, verdict.rank_upper + 1):
-        if definitional_prefix_check(u, k, verdict.certificate_h + u.arity - k, budget):
+        if _prefix_holds(iter(levels), k, top - k):
             return k
     raise RuntimeError("certified verdict admitted no rank candidate")
 

@@ -27,6 +27,8 @@ def test_check_word():
         check_word((1, 3), 2)
     with pytest.raises(ValueError):
         check_word((1, "2"), 2)
+    with pytest.raises(ValueError):
+        check_word((True, 2, 1), 2)
 
 
 def test_all_words():
@@ -217,39 +219,16 @@ def test_tensor_matches_pointwise_product():
             assert t(w) == p(w[:2]) + q(w[2:])
 
 
-def test_embed():
-    u = TuplePerm.transposition(2, (1, 1, 1), (2, 2, 2))
-    left = u.embed(1, 0)
-    assert left((1, 2, 2, 2)) == (1, 1, 1, 1)
-    assert left((2, 2, 2, 2)) == (2, 1, 1, 1)
-    assert left((1, 1, 2, 2)) == (1, 1, 2, 2)
-    right = u.embed(0, 1)
-    assert right((1, 1, 1, 2)) == (2, 2, 2, 2)
-    mid = u.embed(1, 1)
-    assert mid((2, 1, 1, 1, 2)) == (2, 2, 2, 2, 2)
-    i = TuplePerm.identity(2, 3)
-    for w in all_words(2, 4):
-        assert i.embed(1, 0)(w) == w
-
-
-def test_embed_matches_tensor_with_identities():
-    u = TuplePerm.transposition(2, (1, 2), (2, 1))
-    i1 = TuplePerm.identity(2, 1)
-    assert u.embed(1, 0) == i1.tensor(u)
-    assert u.embed(0, 1) == u.tensor(i1)
-    assert u.embed(1, 1) == i1.tensor(u).tensor(i1)
-    assert u.embed(0, 0) == u
-
-
 def test_budget_guard():
     u = TuplePerm.transposition(2, (1, 1, 1), (2, 2, 2))
+    i4 = TuplePerm.identity(2, 4)
     with pytest.raises(BudgetExceededError) as info:
-        u.embed(2, 2, budget=10)
+        u.tensor(i4, budget=10)
     assert info.value.estimate == 2 * 2**4
     assert info.value.budget == 10
     assert "exceeds the budget" in str(info.value)
     # the same call succeeds with room
-    assert u.embed(2, 2, budget=2 * 2**4).arity == 7
+    assert u.tensor(i4, budget=2 * 2**4).arity == 7
 
 
 def test_tail_identity_split():

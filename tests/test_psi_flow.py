@@ -9,6 +9,7 @@ from weylstab import (
     all_words,
     psi_apply,
     psi_factors,
+    psi_levels,
     psi_materialize,
 )
 
@@ -34,7 +35,7 @@ def dense_psi(u, k):
     base = dense_table(u)
     inv = {image: w for w, image in base.items()}
     total = {w: w for w in all_words(u.n, u.arity + k)}
-    for f in psi_factors(u, k).factors:
+    for f in psi_factors(u, k):
         step = dense_embed(
             inv if f.use_inverse else base, u.n, u.arity, f.pad_left, f.pad_right
         )
@@ -45,7 +46,7 @@ def dense_psi(u, k):
 def test_factor_shapes():
     u = TuplePerm.transposition(2, (1, 1, 1), (2, 2, 2))
     shapes = lambda k: [
-        (f.pad_left, f.use_inverse, f.pad_right) for f in psi_factors(u, k).factors
+        (f.pad_left, f.use_inverse, f.pad_right) for f in psi_factors(u, k)
     ]
     assert shapes(0) == [(0, True, 0)]
     assert shapes(1) == [(1, True, 0), (0, True, 1), (1, False, 0)]
@@ -99,21 +100,25 @@ def test_levels_are_permutations():
         assert len(images) == 2 ** (3 + k)
 
 
+def assert_flow_matches_dense(u, k_max):
+    """Built levels, lazy evaluation and the dense product agree on 0..k_max."""
+    for k, level in zip(range(k_max + 1), psi_levels(u)):
+        reference = dense_psi(u, k)
+        assert dict(level.moved) == {w: x for w, x in reference.items() if w != x}
+        assert len(level.moved) == len(u.moved) * u.n**k
+        assert psi_materialize(u, k) == level
+        for w, image in reference.items():
+            assert psi_apply(u, k, w) == image
+
+
 def test_against_dense_reference():
     rng = random.Random(2026)
-    for n, t in [(2, 2), (2, 3), (3, 3)]:
+    cases = [(2, 2, 4), (2, 3, 4), (3, 3, 3), (2, 1, 4), (3, 1, 3), (2, 4, 4), (3, 4, 3)]
+    for n, t, k_max in cases:
         words = list(all_words(n, t))
         for _ in range(5):
             a, b = rng.sample(words, 2)
-            u = TuplePerm.transposition(n, a, b)
-            for k in range(3):
-                reference = dense_psi(u, k)
-                for w, image in reference.items():
-                    assert psi_apply(u, k, w) == image
-                level = psi_materialize(u, k)
-                assert {w: x for w, x in reference.items() if w != x} == dict(
-                    level.moved
-                )
+            assert_flow_matches_dense(TuplePerm.transposition(n, a, b), k_max)
 
 
 def test_materialize_agrees_with_apply_off_support():
@@ -138,21 +143,36 @@ def test_materialize_has_no_fixed_points_stored():
 
 def test_materialize_budget():
     u = TuplePerm.transposition(2, (1, 1, 1), (2, 2, 2))
-    # three window offsets, one 2-cycle, 2**2 tails
+    # exact support of level 2: one 2-cycle times 2**2 prefixes
     with pytest.raises(BudgetExceededError) as info:
-        psi_materialize(u, 2, budget=11)
-    assert info.value.estimate == 3 * 2 * 4
-    assert psi_materialize(u, 2, budget=24) is not None
+        psi_materialize(u, 2, budget=7)
+    assert info.value.estimate == 8
+    assert len(psi_materialize(u, 2, budget=8).moved) == 8
     assert psi_materialize(u, 2, budget=None) is not None
 
 
 def test_composite_base_support():
-    # a product of two overlapping 2-cycles exercises non-transposition bases
+    # products of several cycles exercise non-transposition bases
     p = TuplePerm.transposition(2, (1, 1), (1, 2))
     q = TuplePerm.transposition(2, (1, 2), (2, 2))
-    u = p * q
-    for k in range(3):
-        reference = dense_psi(u, k)
-        level = psi_materialize(u, k)
-        for w, image in reference.items():
-            assert level(w) == image
+    bases = [
+        (p * q, 4),
+        (TuplePerm.from_cycles(3, [[(1,), (2,), (3,)]]), 3),
+        (TuplePerm.from_cycles(3, [[(1, 1, 2), (2, 3, 1), (3, 3, 3)]]), 3),
+        (TuplePerm.from_cycles(2, [[(1, 1, 1), (1, 2, 2)], [(2, 1, 2), (2, 2, 1)]]), 4),
+        (
+            TuplePerm.from_cycles(
+                2, [[(1, 1, 1, 2), (2, 1, 1, 1), (1, 2, 2, 2)], [(2, 2, 1, 1), (1, 1, 2, 2)]]
+            ),
+            4,
+        ),
+    ]
+    rng = random.Random(8)
+    for n, t, k_max in [(2, 3, 4), (3, 2, 3)]:
+        words = list(all_words(n, t))
+        for _ in range(3):
+            points = rng.sample(words, 5)
+            images = points[1:] + points[:1]
+            bases.append((TuplePerm(n, t, dict(zip(points, images))), k_max))
+    for u, k_max in bases:
+        assert_flow_matches_dense(u, k_max)

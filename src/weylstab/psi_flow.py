@@ -14,7 +14,8 @@ So level k is a conjugate of the padded level below, and its support has
 exactly |support(u)| * n**k words.
 
 Two evaluation strategies are provided.  ``psi_apply`` pushes a single word
-through the factor list in O(k * t) window lookups without building anything.
+through the 2k + 1 factors in O(k * t) window lookups without building
+anything, not even the factor list.
 ``psi_levels`` builds the levels in turn by the recursion, as sparse
 ``TuplePerm`` values, checking each exact support size against a budget
 before storing it; ``psi_materialize`` returns one of them.
@@ -64,19 +65,24 @@ def psi_factors(u: TuplePerm, k: int) -> tuple[PsiFactor, ...]:
 
 
 def psi_apply(u: TuplePerm, k: int, w: Sequence[int]) -> Word:
-    """Image of one word under level ``k``, evaluated lazily."""
+    """Image of one word under level ``k``, evaluated lazily.
+
+    Walks the sweep of :func:`psi_factors` without building it: the inverse
+    table at offsets k..0, then the forward table at offsets 1..k.
+    """
+    if k < 0:
+        raise ValueError("level must be non-negative")
     word = check_word(w, u.n)
     if len(word) != u.arity + k:
         raise ValueError(f"level {k} of an arity-{u.arity} base acts on arity-{u.arity + k} words")
     forward = dict(u.moved)  # a plain dict looks up faster than the read-only view
     backward = {image: v for v, image in forward.items()}
     t = u.arity
-    for f in psi_factors(u, k):
-        offset = f.pad_left
-        window = word[offset : offset + t]
-        image = (backward if f.use_inverse else forward).get(window)
-        if image is not None:
-            word = word[:offset] + image + word[offset + t :]
+    for table, offsets in ((backward, range(k, -1, -1)), (forward, range(1, k + 1))):
+        for offset in offsets:
+            image = table.get(word[offset : offset + t])
+            if image is not None:
+                word = word[:offset] + image + word[offset + t :]
     return word
 
 

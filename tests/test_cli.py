@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from weylstab import emit_report, verify_theorem
 from weylstab.cli import build_parser, main
 
 
@@ -227,3 +228,12 @@ def test_process_level_streams():
     assert bad.returncode == 2
     assert bad.stdout == ""
     assert "words must differ" in bad.stderr
+
+
+def test_module_entry_point():
+    done = subprocess.run(
+        [sys.executable, "-m", "weylstab", "verify", "--n", "2", "--format", "csv"],
+        capture_output=True,
+    )
+    assert done.returncode == 0
+    assert done.stdout == emit_report(verify_theorem(2), "csv")

@@ -85,6 +85,8 @@ def test_apply_validates_arity():
         psi_apply(u, 0, (1, 1, 1, 1))
     with pytest.raises(ValueError):
         psi_apply(u, 1, (1, 1, 1, 3))
+    with pytest.raises(ValueError):
+        psi_apply(u, -1, (1, 1))
 
 
 def test_flow_of_identity_is_identity():

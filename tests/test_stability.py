@@ -128,6 +128,38 @@ def test_relabel_invariance():
             assert stability_search(v).certificate_h == expected_h
 
 
+def _random_product(rng, n, t):
+    words = list(all_words(n, t))
+    u = TuplePerm.identity(n, t)
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.sample(words, 2)
+        u = u * TuplePerm.transposition(n, a, b)
+    return u
+
+
+def test_relabel_invariance_of_composite_bases():
+    # verify decides one representative per letter pattern, which is exact
+    # only if both flow deciders are blind to a relabelling of the alphabet
+    rng = random.Random(41)
+    certified = 0
+    for _ in range(60):
+        n, t = rng.randint(2, 3), rng.randint(2, 4)
+        if rng.random() < 0.4:
+            lower = rng.randint(1, t - 1)
+            u = _random_product(rng, n, lower).tensor(TuplePerm.identity(n, t - lower))
+        else:
+            u = _random_product(rng, n, t)
+        sigma = list(range(1, n + 1))
+        rng.shuffle(sigma)
+        v = u.relabel(sigma)
+        verdict = stability_search(u)
+        certified += verdict.stable
+        assert stability_search(v) == verdict
+        if t == 3:
+            assert rank_one_check(v) == rank_one_check(u)
+    assert certified > 10
+
+
 def test_verdict_json_shape():
     stable = search_with_exact_rank(STABLE_A).to_json_dict()
     assert list(stable) == [

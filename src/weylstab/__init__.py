@@ -22,7 +22,7 @@ from .perm_core import (
     parse_word,
     relabel_word,
 )
-from .psi_flow import PsiFactor, psi_apply, psi_factors, psi_levels, psi_materialize
+from .psi_flow import psi_apply, psi_levels, psi_materialize
 from .stability import (
     DEFAULT_H_MAX,
     StabilityVerdict,

@@ -8,8 +8,10 @@ over a whole alphabet, and ``witness`` recomputes the instability
 witnesses for an unstable transposition.
 
 Exit codes: 0 on success, 1 when ``verify`` reports mismatches or
-``witness`` finds a failing witness, 2 on malformed input, 3 when a
-materialization would exceed the support budget.  Results go to stdout,
+``witness`` finds a failing witness or an unresolved level, 2 on malformed
+input, 3 when ``stability`` or ``verify`` would build a level over the
+support budget (``--budget``, else ``$WEYLSTAB_BUDGET``).  ``psi`` and
+``witness`` build no level and take no budget.  Results go to stdout,
 diagnostics to stderr; nothing is written to stdout on exit 2 or 3.
 """
 
@@ -129,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--parallelism",
         type=_positive_int,
-        default=os.cpu_count() or 1,
-        help="worker processes (default: all cores)",
+        default=1,
+        help="worker processes, clamped to the cores (default: 1, in process)",
     )
     _add_format(p, ("text", "json", "csv"))
     p.set_defaults(handler=_cmd_verify)
@@ -140,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--r", type=_positive_int, default=1, help="witness level index")
-    _add_budget(p)
     _add_format(p, ("text", "json"))
     p.set_defaults(handler=_cmd_witness)
 
@@ -247,7 +248,7 @@ def _witness_json(t: Transposition3, r: int, report) -> dict:
 
 def _cmd_witness(args: argparse.Namespace) -> int:
     t = Transposition3(args.n, parse_word(args.a), parse_word(args.b))
-    report = witness_report(t, args.r, _resolve_budget(args.budget))
+    report = witness_report(t, args.r)
     tails_ok = all(ok for _, ok in report.no_identity_tail)
     if args.format == "json":
         print(json.dumps(_witness_json(t, args.r, report), separators=(",", ":")))

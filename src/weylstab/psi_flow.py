@@ -15,15 +15,13 @@ exactly |support(u)| * n**k words.
 
 Two evaluation strategies are provided.  ``psi_apply`` pushes a single word
 through the 2k + 1 factors in O(k * t) window lookups without building
-anything, not even the factor list.
-``psi_levels`` builds the levels in turn by the recursion, as sparse
+anything.  ``psi_levels`` builds the levels in turn by the recursion, as sparse
 ``TuplePerm`` values, checking each exact support size against a budget
 before storing it; ``psi_materialize`` returns one of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count, islice
 from typing import Iterator, Sequence
 
@@ -35,40 +33,20 @@ from .perm_core import (
     check_word,
 )
 
-__all__ = ["PsiFactor", "psi_factors", "psi_apply", "psi_levels", "psi_materialize"]
-
-
-@dataclass(frozen=True)
-class PsiFactor:
-    """One identity-padded copy of the base permutation or of its inverse."""
-
-    pad_left: int
-    use_inverse: bool
-    pad_right: int
-
-
-def psi_factors(u: TuplePerm, k: int) -> tuple[PsiFactor, ...]:
-    """Factor list for level ``k``, leftmost factor applied first.
-
-    >>> from .perm_core import TuplePerm
-    >>> u = TuplePerm.transposition(2, (1, 1, 1), (2, 2, 2))
-    >>> [(f.pad_left, f.use_inverse, f.pad_right) for f in psi_factors(u, 1)]
-    [(1, True, 0), (0, True, 1), (1, False, 0)]
-    """
-    if k < 0:
-        raise ValueError("level must be non-negative")
-    if k == 0:
-        return (PsiFactor(0, True, 0),)
-    inverse_sweep = tuple(PsiFactor(k - i, True, i) for i in range(k + 1))
-    direct_sweep = tuple(PsiFactor(i, False, k - i) for i in range(1, k + 1))
-    return inverse_sweep + direct_sweep
+__all__ = ["psi_apply", "psi_levels", "psi_materialize"]
 
 
 def psi_apply(u: TuplePerm, k: int, w: Sequence[int]) -> Word:
     """Image of one word under level ``k``, evaluated lazily.
 
-    Walks the sweep of :func:`psi_factors` without building it: the inverse
-    table at offsets k..0, then the forward table at offsets 1..k.
+    Slides a window of t letters over the word: first the inverse of u at
+    offsets k, k-1, ..., 0, then u itself at offsets 1, ..., k.  Each step
+    replaces the window when it is a moved word and leaves it otherwise.
+
+    >>> from .perm_core import TuplePerm
+    >>> u = TuplePerm.transposition(2, (1, 1, 1), (2, 2, 2))
+    >>> psi_apply(u, 1, (1, 1, 1, 2))
+    (2, 1, 1, 1)
     """
     if k < 0:
         raise ValueError("level must be non-negative")

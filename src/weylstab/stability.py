@@ -4,11 +4,32 @@ A permutation u of arity-t words is *stable* when some level k >= 1 satisfies
 psi_{k+l}(u) = psi_{k-1}(u) (x) identity**(l+1) for every l >= 0; the least
 such k is its rank.  Arity-1 permutations are always stable of rank 1.
 
-The workhorse criterion: u is stable with rank at most h + 1 as soon as some
-level h splits off t - 1 trailing identity letters, i.e.
-``psi_materialize(u, h).tail_identity_split(t - 1)`` succeeds.  The search
-below scans levels upward; running out of levels is *inconclusive*, never a
-proof of instability.
+Infinitely many equations reduce to finitely many by one lemma.
+
+Commuting-window lemma (1^j stands for identity**j).  Level k comes from
+the level below as psi_k = g^-1 . (psi_{k-1} (x) 1) . g, where
+g = 1^k (x) u acts on positions k+1..k+t.
+
+(i) The rank-k equations hold for every l >= 0 as soon as they hold for
+l = 0..t-2.  Proof: suppose psi_{k+l-1} = psi_{k-1} (x) 1^l for some
+l >= t-1.  Padding by one letter, psi_{k-1} (x) 1^(l+1) acts on positions
+1..t+k-1 only, while g = 1^(k+l) (x) u acts on positions k+l+1..k+l+t, and
+k+l+1 > t+k-1.  Permutations on disjoint positions commute, so
+psi_{k+l} = g^-1 . (psi_{k-1} (x) 1^(l+1)) . g = psi_{k-1} (x) 1^(l+1).
+Induction on l from l = t-1 finishes the proof.  At t = 1 there is nothing
+to check, so every arity-1 permutation has rank 1.
+
+(ii) If level h splits off t-1 trailing identity letters,
+psi_h = W (x) 1^(t-1), then u is stable of rank at most h+1, and every level
+above h splits too.  Proof: W acts on positions 1..h+1, and the g that builds
+level h+j acts on positions h+j+1 and beyond, so for j >= 1 they are
+disjoint.  By induction on j, psi_{h+j} = W (x) 1^(t-1+j) = psi_h (x) 1^j
+for every j >= 1, which are the rank-(h+1) equations.
+
+The search below scans levels upward for such a split (the *certificate*);
+running out of levels is *inconclusive*, never a proof of instability.  The
+rank deciders test the equations of (i) on the window l = 0..t-2, which by
+the lemma decides them exactly.
 """
 
 from __future__ import annotations
@@ -71,17 +92,12 @@ def rank_one_check(u: TuplePerm, budget: int | None = DEFAULT_SUPPORT_BUDGET) ->
     """Exact rank-1 test for arity-3 permutations.
 
     u has rank 1 if and only if level 1 equals level 0 with one identity
-    letter appended and level 2 equals level 1 likewise.
+    letter appended and level 2 equals level 0 with two: by the
+    commuting-window lemma these two equations imply all the others.
     """
     if u.arity != 3:
         raise ValueError("the rank-1 equations are stated for arity-3 permutations")
-    levels = psi_levels(u, budget)
-    lower = next(levels)
-    for level in islice(levels, 2):
-        if level.tail_identity_split(1) != lower:
-            return False
-        lower = level
-    return True
+    return _prefix_holds(psi_levels(u, budget), 1, 1)
 
 
 def stability_search(
@@ -118,8 +134,9 @@ def definitional_prefix_check(
 ) -> bool:
     """Check psi_{k+l}(u) = psi_{k-1}(u) (x) identity**(l+1) for l = 0..l_max.
 
-    This windows the defining property of rank k; it can only refute rank k,
-    never prove it, since l ranges over a finite prefix.
+    This windows the defining property of rank k.  A failure refutes rank k;
+    a pass with ``l_max >= t - 2`` proves rank at most k, by the
+    commuting-window lemma.
     """
     if k < 1:
         raise ValueError("rank candidates start at 1")
@@ -129,7 +146,7 @@ def definitional_prefix_check(
 
 
 def _prefix_holds(levels: Iterator[TuplePerm], k: int, l_max: int) -> bool:
-    """The windowed rank-k equations, drawing levels 0, 1, ... until one fails.
+    """The rank-k equations for l = 0..l_max, drawing levels 0, 1, ... until one fails.
 
     X = Y (x) identity**j is tested as ``X.tail_identity_split(j) == Y``: a
     successful split is unique, so the two forms agree.
@@ -146,21 +163,22 @@ def exact_rank_for_stable(
     verdict: StabilityVerdict,
     budget: int | None = DEFAULT_SUPPORT_BUDGET,
 ) -> int:
-    """Least rank candidate consistent with a certified verdict.
+    """Exact rank of a permutation certified stable at level h = certificate_h.
 
-    Scans k = 1..rank_upper with the windowed prefix check, window length
-    certificate_h + arity - k.  For certified input some k always passes, but
-    the window is finite, so outside the certified families treat the answer
-    as a well-tested upper estimate rather than a proof.
+    Tests k = 1..h on the window l = 0..t-2, which decides rank k exactly,
+    and otherwise returns h + 1, which the certificate proves (both by the
+    commuting-window lemma).  Only levels 0..h + max(t-2, 0) are built.
     """
     if not verdict.stable or verdict.certificate_h is None or verdict.rank_upper is None:
         raise ValueError("exact rank needs a certified stable verdict")
-    top = verdict.certificate_h + u.arity
-    levels = list(islice(psi_levels(u, budget), top + 1))
-    for k in range(1, verdict.rank_upper + 1):
-        if _prefix_holds(iter(levels), k, top - k):
+    h, t = verdict.certificate_h, u.arity
+    levels = list(islice(psi_levels(u, budget), h + max(t - 2, 0) + 1))
+    for k in range(1, h + 1):
+        if _prefix_holds(iter(levels), k, t - 2):
             return k
-    raise RuntimeError("certified verdict admitted no rank candidate")
+    if levels[h].tail_identity_split(t - 1) is None:
+        raise RuntimeError("certified verdict admitted no rank candidate")
+    return h + 1
 
 
 def search_with_exact_rank(

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .perm_core import DEFAULT_SUPPORT_BUDGET, TuplePerm, Word, check_word
-from .psi_flow import psi_apply, psi_materialize
+from .perm_core import TuplePerm, Word, check_word
+from .psi_flow import psi_apply
 
 __all__ = [
     "Branch",
@@ -330,19 +330,16 @@ class WitnessReport:
         )
 
 
-def _levels_lack_identity_tail(
-    u: TuplePerm,
-    results: list[WitnessResult],
-    budget: int | None,
-) -> tuple[tuple[int, bool], ...]:
+def _levels_lack_identity_tail(results: list[WitnessResult]) -> tuple[tuple[int, bool], ...]:
     """Decide, per witness level, whether a trailing identity letter is impossible.
 
     If some level k had psi_k(u) = w (x) identity, every image would keep its
     last letter, and the image of a word would be determined on the first
     arity-1 letters by those letters alone.  A witness whose image changes the
     last letter, or two witnesses sharing an input head with different image
-    heads, therefore settles the question without materializing the level; only
-    when no witness exhibits a violation is the level built and split directly.
+    heads, therefore settles the question without materializing the level.  A
+    level where no witness shows a violation stays unresolved (False): like
+    the certificate search, the check is one-sided.
     """
     out = []
     for k in sorted({res.witness.k for res in results}):
@@ -355,16 +352,11 @@ def _levels_lack_identity_tail(
                 if image_head != res.actual[:-1]:
                     violated = True
                     break
-        if not violated:
-            level = psi_materialize(u, k, budget)
-            violated = level.tail_identity_split(1) is None
         out.append((k, violated))
     return tuple(out)
 
 
-def witness_report(
-    t: Transposition3, r: int, budget: int | None = DEFAULT_SUPPORT_BUDGET
-) -> WitnessReport:
+def witness_report(t: Transposition3, r: int) -> WitnessReport:
     """Evaluate every witness through the flow and check the tail claims."""
     c = classify(t)
     witnesses = witness_points(t, r)
@@ -376,5 +368,4 @@ def witness_report(
         if witness.expected is None:
             passed = witness.head is not None and actual[0] == witness.head
         results.append(WitnessResult(witness, actual, passed))
-    tails = _levels_lack_identity_tail(u, results, budget)
-    return WitnessReport(c.case, tuple(results), tails)
+    return WitnessReport(c.case, tuple(results), _levels_lack_identity_tail(results))

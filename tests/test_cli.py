@@ -134,6 +134,18 @@ def test_witness_on_stable_input(capsys):
     assert "unstable" in err
 
 
+def test_witness_takes_no_budget(capsys, monkeypatch):
+    # witnesses build no level, so there is no budget to give
+    with pytest.raises(SystemExit) as info:
+        main(["witness", "--n", "2", "--a", "(1,1,1)", "--b", "(2,2,2)", "--budget", "5"])
+    assert info.value.code == 2
+    monkeypatch.setenv("WEYLSTAB_BUDGET", "1")
+    code, out, _ = run_cli(capsys, "witness", "--n", "5", "--a", "(1,1,1)", "--b", "(2,2,2)",
+                           "--r", "40", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["no_identity_tail"] == [[118, True]]
+
+
 def test_verify_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n", "2", "--format", "json")
     assert code == 0
@@ -208,7 +220,7 @@ def test_parser_defaults():
     assert args.h_max == 4
     assert args.budget is None
     assert args.format == "text"
-    assert args.parallelism >= 1
+    assert args.parallelism == 1
 
 
 def test_process_level_streams():

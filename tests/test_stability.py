@@ -1,14 +1,18 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+import weylstab.stability
 from weylstab import (
     BudgetExceededError,
+    StabilityVerdict,
     TuplePerm,
     all_words,
     definitional_prefix_check,
     exact_rank_for_stable,
+    psi_levels,
     psi_materialize,
     rank_one_check,
     search_with_exact_rank,
@@ -18,6 +22,9 @@ from weylstab import (
 STABLE_A = TuplePerm.transposition(3, (1, 1, 2), (3, 3, 2))
 STABLE_B = TuplePerm.transposition(3, (1, 2, 1), (1, 3, 1))
 UNSTABLE = TuplePerm.transposition(2, (1, 1, 1), (2, 2, 2))
+PADDED = TuplePerm.transposition(2, (1,), (2,)).tensor(TuplePerm.identity(2, 1))
+RANK_TWO = TuplePerm.from_text("[(4,2) (4,5)] [(5,1) (5,3)]", 5)
+RANK_THREE = TuplePerm.from_text("[(1,3,3) (2,2,1)] [(2,1,3) (2,2,3)]", 3)
 
 
 def test_arity_one_is_trivially_stable():
@@ -96,11 +103,47 @@ def test_rank_one_extends_to_longer_windows():
 
 
 def test_exact_rank():
-    for u in (STABLE_A, STABLE_B):
+    for u, h, rank in (
+        (STABLE_A, 2, 1),
+        (STABLE_B, 2, 1),
+        (PADDED, 0, 1),
+        (RANK_TWO, 2, 2),
+        (RANK_THREE, 4, 3),
+    ):
         verdict = stability_search(u)
-        assert exact_rank_for_stable(u, verdict) == 1
+        assert verdict.certificate_h == h
+        assert exact_rank_for_stable(u, verdict) == rank
+    # the windows of the lemma: rank k passes, rank k - 1 fails
+    for u, rank in ((RANK_TWO, 2), (RANK_THREE, 3)):
+        assert definitional_prefix_check(u, rank, max(u.arity - 2, 0))
+        assert not definitional_prefix_check(u, rank - 1, max(u.arity - 2, 0))
+    # arity 1 has an empty window, so every certificate level gives rank 1
+    for h in (0, 2):
+        verdict = StabilityVerdict(True, "tail-criterion", certificate_h=h, rank_upper=h + 1)
+        assert exact_rank_for_stable(TuplePerm.transposition(2, (1,), (2,)), verdict) == 1
     with pytest.raises(ValueError):
         exact_rank_for_stable(UNSTABLE, stability_search(UNSTABLE))
+    forged = StabilityVerdict(True, "tail-criterion", certificate_h=1, rank_upper=2)
+    with pytest.raises(RuntimeError):
+        exact_rank_for_stable(UNSTABLE, forged)
+
+
+def test_exact_rank_builds_no_level_above_the_window(monkeypatch):
+    drawn = []
+
+    def counting_levels(u, budget):
+        for k, level in enumerate(psi_levels(u, budget)):
+            drawn.append(k)
+            yield level
+
+    monkeypatch.setattr(weylstab.stability, "psi_levels", counting_levels)
+    arity_four = TuplePerm.transposition(3, (1, 1, 1, 2), (1, 1, 1, 3))
+    for u in (STABLE_A, STABLE_B, RANK_TWO, RANK_THREE, PADDED, arity_four):
+        verdict = stability_search(u)
+        assert verdict.stable
+        drawn.clear()
+        exact_rank_for_stable(u, verdict)
+        assert max(drawn) <= verdict.certificate_h + max(u.arity - 2, 0)
 
 
 def test_search_with_exact_rank():
@@ -158,6 +201,39 @@ def test_relabel_invariance_of_composite_bases():
         if t == 3:
             assert rank_one_check(v) == rank_one_check(u)
     assert certified > 10
+
+
+def _rank_one_two_step(u):
+    """Level 1 is level 0 padded by one letter, level 2 is level 1 padded."""
+    levels = [psi_materialize(u, k) for k in range(3)]
+    return all(
+        upper.tail_identity_split(1) == lower for lower, upper in zip(levels, levels[1:])
+    )
+
+
+def _rank_on_long_window(u, verdict):
+    """First rank candidate whose equations hold up to level certificate_h + t."""
+    top = verdict.certificate_h + u.arity
+    return next(
+        k for k in range(1, verdict.rank_upper + 1) if definitional_prefix_check(u, k, top - k)
+    )
+
+
+def test_short_window_matches_long_window():
+    rng = random.Random(2026)
+    ranks = Counter()
+    for n, t in itertools.product((2, 3), (1, 2, 3, 4)):
+        for _ in range(400):
+            u = _random_product(rng, n, t)
+            if t == 3:
+                assert rank_one_check(u) == _rank_one_two_step(u), u
+            verdict = stability_search(u)
+            if verdict.stable:
+                rank = exact_rank_for_stable(u, verdict)
+                assert rank == _rank_on_long_window(u, verdict), u
+                ranks[rank] += 1
+    assert max(ranks) >= 2
+    assert ranks[1] > 100
 
 
 def test_verdict_json_shape():

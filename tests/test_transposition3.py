@@ -6,6 +6,8 @@ from weylstab import (
     Branch,
     CaseTag,
     Transposition3,
+    Witness,
+    WitnessResult,
     all_words,
     classification_to_json,
     classify,
@@ -16,6 +18,8 @@ from weylstab import (
     witness_points,
     witness_report,
 )
+from weylstab.transposition3 import _levels_lack_identity_tail
+from weylstab.verify import pattern_key
 
 
 def all_transpositions(n):
@@ -230,16 +234,37 @@ def test_all_witnesses_pass_exhaustively():
                         assert actual[0] == w.head, (t.a, t.b, r, w)
 
 
-def test_witness_report_demonstrates_instability_n2():
-    for t in all_transpositions(2):
-        if classify(t).stable:
-            continue
-        for r in (1, 2):
-            report = witness_report(t, r)
-            assert report.case == classify(t).case
-            assert report.all_passed
-            assert all(ok for _, ok in report.no_identity_tail)
-            assert len(report.results) == len(witness_points(t, r))
+def test_witness_report_demonstrates_instability():
+    # every transposition over two letters, and one representative of each
+    # unstable letter pattern over six; the witnesses alone settle every
+    # level, since nothing is materialized
+    representatives = {}
+    for t in all_transpositions(6):
+        if not classify(t).stable:
+            representatives.setdefault(pattern_key(t.a, t.b), t)
+    assert len(representatives) == 73
+    cases = [(t, r) for t in all_transpositions(2) if not classify(t).stable for r in (1, 2)]
+    cases += [(t, r) for t in representatives.values() for r in range(1, 9)]
+    for t, r in cases:
+        report = witness_report(t, r)
+        assert report.case == classify(t).case
+        assert report.all_passed, (t.a, t.b, r)
+        assert all(ok for _, ok in report.no_identity_tail)
+        assert len(report.results) == len(witness_points(t, r))
+
+
+def test_tail_check_without_a_violation_is_unresolved():
+    def result(w, image):
+        return WitnessResult(Witness(3, 1, w, image, None, "pinned"), image, True)
+
+    # each image keeps the last letter and no two inputs share a head
+    quiet = [result((1, 1, 1, 1, 1, 2), (1, 1, 1, 1, 1, 2)),
+             result((2, 1, 1, 1, 1, 2), (1, 2, 1, 1, 1, 2))]
+    assert _levels_lack_identity_tail(quiet) == ((3, False),)
+    same_head = result((2, 1, 1, 1, 1, 1), (2, 2, 1, 1, 1, 1))
+    assert _levels_lack_identity_tail(quiet + [same_head]) == ((3, True),)
+    last_letter = result((1, 1, 1, 1, 2, 2), (1, 1, 1, 1, 2, 1))
+    assert _levels_lack_identity_tail(quiet + [last_letter]) == ((3, True),)
 
 
 def test_witness_report_on_b_side_cases():
